@@ -1,0 +1,30 @@
+package main
+
+import (
+	"math"
+	"sort"
+)
+
+// quantile is the q-quantile of xs with linear interpolation between
+// order statistics (0 for an empty sample).
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+func maxOf(xs []float64) float64 {
+	m := math.Inf(-1)
+	for _, x := range xs {
+		m = math.Max(m, x)
+	}
+	return m
+}
