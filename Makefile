@@ -18,14 +18,16 @@ test:
 # determinism contract (serial vs sharded pipelines must be bit-identical)
 # under the race detector at a pinned scale, and a short fuzz smoke over
 # the hostile-input parsers (syslog lines, the block-parallel scanner's
-# serial-differential, the columnar decoder, dataset manifests).
+# serial-differential, the columnar decoder, dataset manifests, the
+# state ladder, and the v5 state head and segment decoders).
 # ASTRA_CRASH_TESTS=1 additionally sweeps the kill/resume differential
 # test over every I/O operation instead of its default 24-point sample.
 # The online subsystem gets an explicit race-enabled pass: the stream
 # engine's batch-equivalence property tests, the tail/checkpoint resume
 # differentials, and the astrad kill/restart test are the contracts most
 # exposed to concurrency bugs, so they run under the race detector even
-# when the blanket -race sweep is trimmed locally. The pinned-scale line
+# when the blanket -race sweep is trimmed locally; the state store is on
+# the same line because its lock-free watermark reads race the writer. The pinned-scale line
 # also sweeps the sharded-engine differentials (partition-parallel
 # ingest must stay bit-identical to the serial engine).
 verify:
@@ -33,13 +35,15 @@ verify:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -timeout 30m -count 1 ./internal/stream ./internal/serve ./internal/overload ./internal/syslog ./internal/colfmt ./internal/supervise ./internal/predict ./cmd/astrad ./cmd/astraload
+	$(GO) test -race -timeout 30m -count 1 ./internal/stream ./internal/serve ./internal/overload ./internal/syslog ./internal/colfmt ./internal/supervise ./internal/predict ./internal/statestore ./cmd/astrad ./cmd/astraload
 	ASTRA_BENCH_NODES=64 $(GO) test -race -timeout 30m -run 'Parallel|Determinism|Sharded' ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 5s ./internal/syslog
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockScan$$' -fuzztime 5s ./internal/syslog
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/colfmt
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 5s ./internal/atomicio
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadStateLadder$$' -fuzztime 5s ./cmd/astrad
+	$(GO) test -run '^$$' -fuzz '^FuzzHead$$' -fuzztime 5s ./internal/statestore
+	$(GO) test -run '^$$' -fuzz '^FuzzSegment$$' -fuzztime 5s ./internal/statestore
 	$(GO) test -run '^$$' -fuzz '^FuzzRiskEndpoint$$' -fuzztime 5s ./internal/serve
 	@if [ -n "$$ASTRA_CRASH_TESTS" ]; then ASTRA_CRASH_TESTS=1 $(GO) test -run 'TestExportCrashResumeDifferential' ./internal/dataset; fi
 	@if [ -n "$$ASTRA_BENCH_GUARD" ]; then $(MAKE) bench-guard; fi
@@ -61,8 +65,10 @@ bench:
 # partitioned engines exercise the fan-in rollup under load. The
 # scenario is deliberately drain-throttled so the shed rate is overload
 # arithmetic, not machine speed. The -recovery phase then runs the
-# kill + corrupt-newest-generation + rotate-mid-tail chaos sequence and
-# pins crash-recovery convergence (and its time) in the same baseline.
+# kill + rotate-mid-tail chaos sequence, checkpointing through the v5
+# state store and damaging its three newest generations (a flipped
+# head, a flipped segment bit, a torn segment), and pins crash-recovery
+# convergence (and its time) in the same baseline.
 bench-serve:
 	$(GO) run ./cmd/astraload -seed 1 -nodes 64 -sites 2 -partitions 4 \
 		-duration 3 -ingest-rate 100000 \
@@ -70,7 +76,7 @@ bench-serve:
 		-api-clients 4 -api-qps 400 -slow-clients 2 \
 		-queue-depth 32768 -drain-batch 128 -drain-interval 5 \
 		-disk-stall 0.5 -disk-stall-for 100 -checkpoint-every 100 -checkpoint-timeout 50 \
-		-recovery -recovery-nodes 48 -recovery-partitions 2 -recovery-keep 3 -recovery-bound 30000 \
+		-recovery -recovery-nodes 48 -recovery-partitions 2 -recovery-keep 4 -recovery-bound 30000 \
 		-out BENCH_serve.json
 
 # bench-guard fails when the budgeted stages (dataset-build, parse,

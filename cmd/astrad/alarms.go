@@ -4,34 +4,26 @@
 // pure function of them), but first-alarm times are not derivable from
 // the records — they say when errors happened, not when the predictor
 // first flagged the bank — so they are durable state, carried per site
-// in the v4 state sections. Preserving them across restarts keeps
+// in every state head. Preserving them across restarts keeps
 // lead-time accounting honest: a bank that alarmed Monday and failed
 // Friday shows four days of warning even if the daemon restarted
 // Wednesday.
 package main
 
 import (
-	"bytes"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/predict"
-	"repro/internal/topology"
+	"repro/internal/statestore"
 )
-
-// alarmEntry is one persisted first-alarm fact.
-type alarmEntry struct {
-	key core.BankKey
-	at  int64 // wall clock, UnixNano
-}
 
 // alarmLedger tracks one site's first-alarm times. It lives on the
 // siteDaemon, outside any pipeline incarnation: a supervised restart
-// rebuilds the engine but restores the ledger from the site's section,
-// so alarm times never move backward or re-stamp.
+// rebuilds the engine but keeps the ledger, so alarm times never move
+// backward or re-stamp.
 type alarmLedger struct {
 	mu    sync.Mutex
 	first map[core.BankKey]int64
@@ -69,24 +61,24 @@ func (l *alarmLedger) size() int {
 
 // snapshot returns the ledger sorted by bank key, so marshaling is
 // deterministic (round-trip tests and checkpoint diffing rely on it).
-func (l *alarmLedger) snapshot() []alarmEntry {
+func (l *alarmLedger) snapshot() []statestore.Alarm {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]alarmEntry, 0, len(l.first))
+	out := make([]statestore.Alarm, 0, len(l.first))
 	for k, at := range l.first {
-		out = append(out, alarmEntry{key: k, at: at})
+		out = append(out, statestore.Alarm{Key: k, At: at})
 	}
-	sort.Slice(out, func(i, j int) bool { return lessBankKey(out[i].key, out[j].key) })
+	sort.Slice(out, func(i, j int) bool { return lessBankKey(out[i].Key, out[j].Key) })
 	return out
 }
 
 // replace resets the ledger to a restored snapshot.
-func (l *alarmLedger) replace(entries []alarmEntry) {
+func (l *alarmLedger) replace(entries []statestore.Alarm) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.first = make(map[core.BankKey]int64, len(entries))
 	for _, e := range entries {
-		l.first[e.key] = e.at
+		l.first[e.Key] = e.At
 	}
 }
 
@@ -101,58 +93,4 @@ func lessBankKey(a, b core.BankKey) bool {
 		return a.Rank < b.Rank
 	}
 	return a.Bank < b.Bank
-}
-
-// appendAlarms renders the alarms subsection of a v4 site section.
-func appendAlarms(b *bytes.Buffer, alarms []alarmEntry) {
-	fmt.Fprintf(b, "alarms %d\n", len(alarms))
-	for _, a := range alarms {
-		fmt.Fprintf(b, "alarm %s %d %d %d %d\n",
-			a.key.Node.String(), int(a.key.Slot), a.key.Rank, a.key.Bank, a.at)
-	}
-}
-
-// parseAlarms parses the alarms subsection from the front of data and
-// returns the unconsumed remainder, with the same site/offset error
-// diagnosability as parseSection.
-func parseAlarms(data []byte, site string, base int) (alarms []alarmEntry, rest []byte, err error) {
-	rest = data
-	fail := func(format string, args ...any) error {
-		at := base + len(data) - len(rest)
-		return fmt.Errorf("astrad: state file: site %s: %s at byte %d", site, fmt.Sprintf(format, args...), at)
-	}
-	var count int
-	if n, serr := fmt.Sscanf(string(firstLine(rest)), "alarms %d", &count); serr != nil || n != 1 {
-		return nil, nil, fail("bad alarms header")
-	}
-	if count < 0 {
-		return nil, nil, fail("negative alarm count")
-	}
-	rest = rest[len(firstLine(rest))+1:]
-	alarms = make([]alarmEntry, 0, count)
-	for i := 0; i < count; i++ {
-		line := firstLine(rest)
-		if line == nil {
-			return nil, nil, fail("truncated at alarm %d of %d", i, count)
-		}
-		var node string
-		var slot, rank, bank int
-		var at int64
-		if n, serr := fmt.Sscanf(string(line), "alarm %s %d %d %d %d", &node, &slot, &rank, &bank, &at); serr != nil || n != 5 {
-			return nil, nil, fail("alarm %d: bad line %q", i, line)
-		}
-		id, perr := topology.ParseNodeID(node)
-		if perr != nil {
-			return nil, nil, fail("alarm %d: %v", i, perr)
-		}
-		if !topology.Slot(slot).Valid() {
-			return nil, nil, fail("alarm %d: slot %d out of range", i, slot)
-		}
-		rest = rest[len(line)+1:]
-		alarms = append(alarms, alarmEntry{
-			key: core.BankKey{Node: id, Slot: topology.Slot(slot), Rank: int8(rank), Bank: int8(bank)},
-			at:  at,
-		})
-	}
-	return alarms, rest, nil
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strconv"
 	"testing"
@@ -14,63 +13,38 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/predict"
+	"repro/internal/statestore"
 	"repro/internal/stream"
-	"repro/internal/syslog"
 )
 
-// TestStateV4RoundTrip pins the v4 state file format: per-site alarm
-// ledgers round-trip exactly, marshaling is deterministic, corruption
-// in the alarms subsection is rejected, and v3 files (no ledgers) still
-// load.
+// TestStateV4RoundTrip pins the v4 legacy format: per-site alarm
+// ledgers load exactly and survive the upgrade to v5, the sealed image
+// loads too, corruption in the alarms subsection is rejected, and v3
+// files (no ledgers) load with empty ledgers.
 func TestStateV4RoundTrip(t *testing.T) {
-	in, ces := testLog(t)
-	sc := syslog.NewScannerConfig(bytes.NewReader(in), syslog.ScanConfig{DedupWindow: testDedup, ReorderWindow: testReorder})
-	for i := 0; i < 25; i++ {
-		if !sc.Scan() {
-			t.Fatal("fixture too short")
-		}
+	_, ces := testLog(t)
+	cp := fixtureCheckpoint(t)
+	alarms := []statestore.Alarm{
+		{Key: core.RecordBankKey(&ces[0]), At: 1700000000000000001},
+		{Key: core.RecordBankKey(&ces[3]), At: 1700000000000000002},
 	}
-	cp := sc.Checkpoint()
-	alarms := []alarmEntry{
-		{key: core.RecordBankKey(&ces[0]), at: 1700000000000000001},
-		{key: core.RecordBankKey(&ces[3]), at: 1700000000000000002},
+	want := []statestore.Snapshot{
+		{ID: "east", Checkpoint: cp, Shed: 3, Records: ces[:10], Alarms: alarms},
+		{ID: "west", Records: ces[10:14]}, // empty ledger
 	}
-	snaps := []siteSnapshot{
-		{id: "east", cp: cp, shed: 3, recs: ces[:10], alarms: alarms},
-		{id: "west", recs: ces[10:14]}, // empty ledger
+	data := fixture(t, "v4.state")
+	got, err := decodeState(t, data)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameSnapshots(t, got, want)
+	sameSnapshots(t, upgradeRoundTrip(t, data, []string{"east", "west"}), want)
 
-	data, err := marshalStateV4(snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := unmarshalStateV4(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].id != "east" || got[1].id != "west" {
-		t.Fatalf("site ids round trip: %+v", got)
-	}
-	if !reflect.DeepEqual(got[0].alarms, alarms) {
-		t.Fatalf("east alarms round trip: %+v, want %+v", got[0].alarms, alarms)
-	}
-	if len(got[1].alarms) != 0 {
-		t.Fatalf("west grew alarms: %+v", got[1].alarms)
-	}
-	if len(got[0].recs) != 10 || got[0].shed != 3 || got[0].cp.Offset != cp.Offset {
-		t.Fatalf("v3 fields lost in v4: %+v", got[0])
-	}
-	data2, err := marshalStateV4(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Fatal("v4 marshal not deterministic through a round trip")
-	}
-
-	// The sealed image decodes through the version router.
-	if snaps2, err := decodeState(sealState(data)); err != nil || len(snaps2) != 2 {
-		t.Fatalf("sealed v4 decode: %d sites, %v", len(snaps2), err)
+	// The sealed image decodes too.
+	if snaps, err := decodeState(t, fixture(t, "v4-sealed.state")); err != nil {
+		t.Fatalf("sealed v4 decode: %v", err)
+	} else {
+		sameSnapshots(t, snaps, want)
 	}
 
 	for name, corrupt := range map[string][]byte{
@@ -79,7 +53,7 @@ func TestStateV4RoundTrip(t *testing.T) {
 		"alarm-count":   bytes.Replace(data, []byte("\nalarms 2\n"), []byte("\nalarms 3\n"), 1),
 		"truncated":     data[:len(data)-3],
 	} {
-		if _, err := unmarshalStateV4(corrupt); err == nil {
+		if _, err := decodeState(t, corrupt); err == nil {
 			t.Errorf("%s: corrupted v4 state accepted", name)
 		}
 	}
@@ -87,20 +61,12 @@ func TestStateV4RoundTrip(t *testing.T) {
 	// A v3 file — same snapshots, ledgers not representable — still
 	// loads: a daemon upgraded in place keeps its checkpoint and starts
 	// with empty ledgers.
-	v3, err := marshalStateV3(snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := decodeState(v3)
+	old, err := decodeState(t, fixture(t, "v3.state"))
 	if err != nil {
 		t.Fatalf("v3 state rejected: %v", err)
 	}
-	if len(old) != 2 || len(old[0].recs) != 10 || old[0].shed != 3 {
-		t.Fatalf("v3 decode: %+v", old)
-	}
-	if len(old[0].alarms) != 0 || len(old[1].alarms) != 0 {
-		t.Fatal("v3 decode invented alarms")
-	}
+	want[0].Alarms = nil
+	sameSnapshots(t, old, want)
 }
 
 var alarmedGaugeRE = regexp.MustCompile(`astrad_predict_alarmed_banks ([0-9.e+]+)`)
@@ -133,11 +99,8 @@ func TestDaemonAlarmLedgerSurvivesRestart(t *testing.T) {
 	// brief gap at the head path — retry through it.
 	deadline := time.Now().Add(150 * time.Second)
 	for {
-		data, err := os.ReadFile(statePath)
-		if err == nil {
-			if snaps, derr := decodeState(data); derr == nil && len(snaps) == 1 && len(snaps[0].alarms) > 0 {
-				break
-			}
+		if snaps, err := loadState(statePath); err == nil && len(snaps) == 1 && len(snaps[0].Alarms) > 0 {
+			break
 		}
 		if time.Now().After(deadline) {
 			cancel()
@@ -154,16 +117,16 @@ func TestDaemonAlarmLedgerSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(state, []byte(stateMagicV4+"\n")) {
-		t.Fatalf("state not v4: %q", state[:min(len(state), 40)])
+	if !bytes.HasPrefix(state, []byte(statestore.Magic+"\n")) {
+		t.Fatalf("state not v5: %q", state[:min(len(state), 40)])
 	}
-	snaps, err := decodeState(state)
+	snaps, err := loadState(statePath)
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("phase 1 state: %d sites, %v", len(snaps), err)
 	}
-	firstAlarms := make(map[core.BankKey]int64, len(snaps[0].alarms))
-	for _, a := range snaps[0].alarms {
-		firstAlarms[a.key] = a.at
+	firstAlarms := make(map[core.BankKey]int64, len(snaps[0].Alarms))
+	for _, a := range snaps[0].Alarms {
+		firstAlarms[a.Key] = a.At
 	}
 	if len(firstAlarms) == 0 {
 		t.Fatal("phase 1 ledger empty")
@@ -234,9 +197,9 @@ func TestDaemonAlarmLedgerSurvivesRestart(t *testing.T) {
 	if err != nil || len(final) != 1 {
 		t.Fatalf("final state: %d sites, %v", len(final), err)
 	}
-	finalAlarms := make(map[core.BankKey]int64, len(final[0].alarms))
-	for _, a := range final[0].alarms {
-		finalAlarms[a.key] = a.at
+	finalAlarms := make(map[core.BankKey]int64, len(final[0].Alarms))
+	for _, a := range final[0].Alarms {
+		finalAlarms[a.Key] = a.At
 	}
 	if len(finalAlarms) < len(firstAlarms) {
 		t.Fatalf("ledger shrank: %d -> %d", len(firstAlarms), len(finalAlarms))

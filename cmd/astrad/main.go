@@ -18,8 +18,8 @@
 // Risk serving scores each bank's live feature state under a predictor
 // (the built-in rule ladder, or a trained model via -model). Banks
 // crossing -risk-threshold are stamped into a per-site first-alarm
-// ledger that persists in the v4 state sections, so lead-time
-// accounting survives restarts.
+// ledger that persists in the state head, so lead-time accounting
+// survives restarts.
 //
 // With several -site flags the daemon federates independent fleets: each
 // site tails its own log into its own partitioned engine, and the legacy
@@ -27,16 +27,20 @@
 // site's engine across goroutine-owned partitions (hash by node) for
 // multicore ingest; answers are bit-identical at every setting.
 //
-// The daemon checkpoints its scanner state and record set atomically to
-// -state; a killed daemon restarted over the same logs resumes exactly,
-// losing and duplicating nothing — including records still buffered in
-// the reorder window at the moment of death, and regardless of the
-// partition count it restarts with. Checkpoints are checksum-sealed and
-// kept as a generation ladder (-state, -state.1, ... up to -state-keep):
-// recovery walks the ladder newest-first, so a torn or bit-flipped file
-// costs one checkpoint interval, and a ladder with nothing valid left
-// cold-starts from the logs instead of refusing to run. SIGTERM/SIGINT
-// drain in-flight requests, write a final checkpoint, and exit 0.
+// The daemon checkpoints its scanner state and record set under -state
+// (internal/statestore): each checkpoint writes only the records
+// admitted since the last one, as an immutable columnar segment beside
+// -state, and commits a small checksum-sealed head naming every site's
+// segments. A killed daemon restarted over the same logs resumes
+// exactly, losing and duplicating nothing — including records still
+// buffered in the reorder window at the moment of death, and regardless
+// of the partition count it restarts with. Heads are kept as a
+// generation ladder (-state, -state.1, ... up to -state-keep) sharing
+// segments: recovery walks the ladder newest-first, so a torn or
+// bit-flipped head or segment costs one checkpoint interval, and a
+// ladder with nothing valid left cold-starts from the logs instead of
+// refusing to run. SIGTERM/SIGINT drain in-flight requests, write a
+// final checkpoint, and exit 0.
 //
 // Each site's pipeline is supervised: a panic or ingest fault restarts
 // only that site (with jittered exponential backoff), and a site that
@@ -71,6 +75,7 @@ import (
 	"repro/internal/overload"
 	"repro/internal/predict"
 	"repro/internal/serve"
+	"repro/internal/statestore"
 	"repro/internal/stream"
 	"repro/internal/supervise"
 	"repro/internal/syslog"
@@ -139,7 +144,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.cpFailures, "checkpoint-failures", overload.DefaultBreakerFailures, "consecutive checkpoint failures that open the circuit breaker")
 	fs.DurationVar(&cfg.cpCooldown, "checkpoint-cooldown", 30*time.Second, "how long an open checkpoint breaker skips writes before probing")
 	fs.DurationVar(&cfg.cpTimeout, "checkpoint-timeout", 5*time.Second, "checkpoint writes slower than this count as breaker failures (0 disables)")
-	fs.IntVar(&cfg.stateKeep, "state-keep", atomicio.DefaultKeep, "checkpoint generations kept as a recovery ladder (-state, -state.1, ...; min 1)")
+	fs.IntVar(&cfg.stateKeep, "state-keep", atomicio.DefaultKeep, "checkpoint heads kept as a recovery ladder (-state, -state.1, ...; min 1), with every segment they name")
 
 	fs.Float64Var(&cfg.riskThreshold, "risk-threshold", serve.DefaultRiskThreshold, "risk score at which a bank enters the first-alarm ledger and the atrisk gauge")
 	fs.StringVar(&cfg.modelPath, "model", "", "trained prediction model directory (empty = built-in rule ladder)")
@@ -196,21 +201,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-// matchSnapshot pairs a configured site with its restored state. Sites
-// match by id; as a migration path, a lone v1/v2 snapshot (always named
-// "default") restores a lone configured site whatever its id.
-func matchSnapshot(snaps []siteSnapshot, specs []siteSpec, i int) siteSnapshot {
-	for _, sn := range snaps {
-		if sn.id == specs[i].id {
-			return sn
-		}
-	}
-	if len(specs) == 1 && len(snaps) == 1 {
-		return snaps[0]
-	}
-	return siteSnapshot{id: specs[i].id}
-}
-
 // serveDaemon wires state restore (walking the checkpoint generation
 // ladder), the supervised per-site pipelines, the checkpoint writer and
 // the HTTP server, then blocks until the context is cancelled or the
@@ -225,7 +215,7 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 			Failures: cfg.cpFailures,
 			Cooldown: cfg.cpCooldown,
 		}),
-		cpCh: make(chan []byte, 1),
+		cpCh: make(chan statestore.Delta, 1),
 		fs:   atomicio.OS,
 	}
 	if cfg.modelPath != "" {
@@ -238,60 +228,54 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 	} else {
 		d.predictor = predict.DefaultRuleLadder()
 	}
+	specs := cfg.sites
+	if len(specs) == 0 {
+		specs = []siteSpec{{id: "default", path: cfg.logPath}}
+	}
+	ids := make([]string, len(specs))
+	for i, sp := range specs {
+		ids[i] = sp.id
+	}
+	loaded := statestore.Loaded{Gen: -1, Sites: make([]statestore.Snapshot, len(ids))}
 	if cfg.statePath != "" {
 		// A crash can strand an atomic-write temp file next to the state;
 		// sweep leftovers before writing new generations beside them.
 		if err := atomicio.SweepTemps(d.fs, filepath.Dir(cfg.statePath)); err != nil {
 			logger.Warn("temp sweep failed", "dir", filepath.Dir(cfg.statePath), "err", err)
 		}
-	}
-	snaps, gen, discarded, err := loadStateLadder(d.fs, cfg.statePath, cfg.stateKeep)
-	for _, disc := range discarded {
-		d.gensDiscarded.Add(1)
-		logger.Warn("state generation discarded", "path", disc.Path, "generation", disc.Gen, "err", disc.Err)
-	}
-	if err != nil {
-		return 1, err
+		var err error
+		d.store, loaded, err = statestore.Open(d.fs, cfg.statePath, cfg.stateKeep, ids)
+		for _, disc := range loaded.Discarded {
+			d.gensDiscarded.Add(1)
+			logger.Warn("state generation discarded", "path", disc.Path, "generation", disc.Gen, "err", disc.Err)
+		}
+		if err != nil {
+			return 1, err
+		}
 	}
 	switch {
-	case gen > 0:
-		logger.Warn("recovered from older state generation", "generation", gen, "discarded", len(discarded))
-	case gen < 0 && len(discarded) > 0:
-		logger.Warn("no state generation recoverable; cold-starting from the logs", "discarded", len(discarded))
+	case loaded.Gen > 0:
+		logger.Warn("recovered from older state generation", "generation", loaded.Gen, "discarded", len(loaded.Discarded))
+	case loaded.Gen < 0 && len(loaded.Discarded) > 0:
+		logger.Warn("no state generation recoverable; cold-starting from the logs", "discarded", len(loaded.Discarded))
 	}
-	specs := cfg.sites
-	if len(specs) == 0 {
-		specs = []siteSpec{{id: "default", path: cfg.logPath}}
-	}
-	for _, sn := range snaps {
-		found := false
-		for _, sp := range specs {
-			if sp.id == sn.id {
-				found = true
-			}
-		}
-		if !found && len(specs) > 1 {
-			logger.Warn("state section for unconfigured site dropped", "site", sn.id, "records", len(sn.recs))
-		}
+	for _, sn := range loaded.Dropped {
+		logger.Warn("state section for unconfigured site dropped", "site", sn.ID, "records", len(sn.Records))
 	}
 
 	for i, spec := range specs {
-		snap := matchSnapshot(snaps, specs, i)
+		snap := loaded.Sites[i]
 		site := &siteDaemon{id: spec.id, logPath: spec.path}
 		eng, q := d.buildPipeline(snap)
 		site.eng.Store(eng)
 		site.q.Store(q)
-		site.resumeCP = snap.cp
+		site.resumeCP = snap.Checkpoint
 		site.primed.Store(true)
-		site.alarms.replace(snap.alarms)
-		sec, err := marshalSiteSectionV4(snap.cp, snap.shed, snap.recs, snap.alarms)
-		if err != nil {
-			return 1, err
-		}
-		site.section.Store(&sec)
-		if len(snap.recs) > 0 {
-			logger.Info("restored", "site", spec.id, "records", len(snap.recs), "shed", snap.shed,
-				"alarms", len(snap.alarms), "offset", snap.cp.Offset, "pendingReorder", snap.cp.Buffered())
+		site.alarms.replace(snap.Alarms)
+		if len(snap.Records) > 0 {
+			logger.Info("restored", "site", spec.id, "records", len(snap.Records), "shed", snap.Shed,
+				"alarms", len(snap.Alarms), "offset", snap.Checkpoint.Offset, "pendingReorder", snap.Checkpoint.Buffered(),
+				"legacy", loaded.Legacy)
 		}
 		d.sites = append(d.sites, site)
 	}
@@ -315,6 +299,26 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 		func() float64 { return float64(d.checkpoints.Load()) })
 	reg.NewCounterFunc("astrad_checkpoints_skipped_total", "", "Checkpoints skipped by the breaker or a busy writer.",
 		func() float64 { return float64(d.cpSkipped.Load()) })
+	d.freezeSeconds = reg.NewHistogram("astrad_checkpoint_freeze_seconds", "",
+		"Admission freeze per checkpoint capture, in seconds: copying the records past the committed watermark.",
+		[]float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1})
+	reg.NewCounterFunc("astrad_checkpoint_written_bytes_total", "", "Checkpoint bytes written: new segments plus heads.",
+		func() float64 {
+			if d.store == nil {
+				return 0
+			}
+			return float64(d.store.Written())
+		})
+	for _, s := range d.sites {
+		id := s.id
+		reg.NewGaugeFunc("astrad_state_segments", `site="`+id+`"`, "Record segments the site's committed state head lists.",
+			func() float64 {
+				if d.store == nil {
+					return 0
+				}
+				return float64(d.store.Segments(id))
+			})
+	}
 	reg.NewGaugeFunc("astrad_log_offset_bytes", "", "Byte offset consumed across the tailed logs.",
 		func() float64 { return float64(d.offsetBytes()) })
 	reg.NewCounterFunc("astrad_state_generations_discarded_total", "", "State generations rejected during recovery (checksum or parse failure).",
@@ -379,15 +383,21 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 	close(d.cpCh)
 	<-writerDone
 
-	// Every unit has stopped: each running site captured its final
-	// section (queue drained, resume offset translated) on the way out,
-	// and quarantined sites kept their last-good sections. Persist the
-	// composed state synchronously — bypassing the breaker, because this
-	// is the last chance to save the shed accounting and resume points.
+	// Every unit has stopped: each running site captured its final delta
+	// (queue drained, resume offset translated) on the way out, and
+	// quarantined sites keep their committed entries. Commit them
+	// synchronously — bypassing the breaker, because this is the last
+	// chance to save the shed accounting and resume points.
 	exitErr := httpFail
-	if cfg.statePath != "" {
-		data := d.composeState()
-		if err := d.persist(data); err != nil {
+	if d.store != nil {
+		var finals []statestore.Delta
+		for _, s := range d.sites {
+			if f := s.final.Load(); f != nil {
+				finals = append(finals, *f)
+			}
+		}
+		info, err := d.store.Commit(context.Background(), finals...)
+		if err != nil {
 			if exitErr == nil {
 				exitErr = fmt.Errorf("final checkpoint: %w", err)
 			} else {
@@ -399,7 +409,7 @@ func serveDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) (in
 			for _, s := range d.sites {
 				shed += s.engine().Shed()
 			}
-			d.log.Info("checkpoint", "final", true, "bytes", len(data), "shed", shed)
+			d.log.Info("checkpoint", "final", true, "bytes", info.Bytes, "shed", shed)
 		}
 	}
 

@@ -21,6 +21,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/het"
 	"repro/internal/mce"
+	"repro/internal/statestore"
 	"repro/internal/stream"
 	"repro/internal/syslog"
 	"repro/internal/topology"
@@ -41,7 +42,7 @@ var (
 // testLog renders a small dataset's syslog once, with a far-future HET
 // sentinel appended so the reorder window releases every CE before it —
 // the expected engine contents are then exactly the batch scan's CEs.
-func testLog(t *testing.T) ([]byte, []mce.CERecord) {
+func testLog(t testing.TB) ([]byte, []mce.CERecord) {
 	t.Helper()
 	logOnce.Do(func() {
 		cfg := dataset.DefaultConfig(61)
@@ -316,48 +317,22 @@ func TestDaemonSustainedIngest(t *testing.T) {
 	}
 }
 
-// TestStateRoundTrip pins the daemon state file format.
+// TestStateRoundTrip pins the single-site legacy formats: a v2 file
+// loads as site "default" with its checkpoint, shed count and records
+// exact, upgrades to v5 without change, and rejects corruption; a v1
+// file (no shed line) still loads with shed 0.
 func TestStateRoundTrip(t *testing.T) {
-	in, ces := testLog(t)
-	sc := syslog.NewScannerConfig(bytes.NewReader(in), syslog.ScanConfig{DedupWindow: testDedup, ReorderWindow: testReorder})
-	for i := 0; i < 25; i++ {
-		if !sc.Scan() {
-			t.Fatal("fixture too short")
-		}
-	}
-	cp := sc.Checkpoint()
-	recs := ces[:10]
+	_, ces := testLog(t)
+	cp := fixtureCheckpoint(t)
+	data := fixture(t, "v2.state")
 
-	data, err := marshalState(cp, 7, recs)
+	snaps, err := decodeState(t, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp2, shed2, recs2, err := unmarshalState(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp2.Offset != cp.Offset || cp2.Buffered() != cp.Buffered() {
-		t.Fatalf("checkpoint round trip: offset %d/%d buffered %d/%d",
-			cp2.Offset, cp.Offset, cp2.Buffered(), cp.Buffered())
-	}
-	if shed2 != 7 {
-		t.Fatalf("shed round trip: %d, want 7", shed2)
-	}
-	if len(recs2) != len(recs) {
-		t.Fatalf("records round trip: %d, want %d", len(recs2), len(recs))
-	}
-	for i := range recs {
-		if recs2[i] != recs[i] {
-			t.Fatalf("record %d diverges after round trip", i)
-		}
-	}
-	data2, err := marshalState(cp2, shed2, recs2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Fatal("state marshal not deterministic through a round trip")
-	}
+	want := []statestore.Snapshot{{ID: "default", Checkpoint: cp, Shed: 7, Records: ces[:10]}}
+	sameSnapshots(t, snaps, want)
+	sameSnapshots(t, upgradeRoundTrip(t, data, []string{"default"}), want)
 
 	for name, corrupt := range map[string][]byte{
 		"empty":     nil,
@@ -365,22 +340,19 @@ func TestStateRoundTrip(t *testing.T) {
 		"header":    []byte("nope\n"),
 		"shed":      bytes.Replace(data, []byte("\nshed 7\n"), []byte("\nshed x\n"), 1),
 	} {
-		if _, _, _, err := unmarshalState(corrupt); err == nil {
+		if _, err := decodeState(t, corrupt); err == nil {
 			t.Errorf("%s: corrupted state accepted", name)
 		}
 	}
 
 	// A v1 state file (no shed line) must still load, with shed = 0: a
 	// daemon upgraded in place keeps its checkpoint.
-	v1 := bytes.Replace(data, []byte(stateMagic), []byte(stateMagicV1), 1)
-	v1 = bytes.Replace(v1, []byte("\nshed 7\n"), []byte("\n"), 1)
-	cpV1, shedV1, recsV1, err := unmarshalState(v1)
+	v1, err := decodeState(t, fixture(t, "v1.state"))
 	if err != nil {
 		t.Fatalf("v1 state rejected: %v", err)
 	}
-	if shedV1 != 0 || cpV1.Offset != cp.Offset || len(recsV1) != len(recs) {
-		t.Fatalf("v1 state round trip: shed=%d offset=%d records=%d", shedV1, cpV1.Offset, len(recsV1))
-	}
+	want[0].Shed = 0
+	sameSnapshots(t, v1, want)
 }
 
 // TestDaemonSIGTERMBinary is the end-to-end shutdown test against the

@@ -110,11 +110,11 @@ func TestDaemonSIGTERMUnderOverload(t *testing.T) {
 	if code := <-done; code != 0 {
 		t.Fatalf("overloaded shutdown exit = %d; stderr:\n%s", code, errs.String())
 	}
-	snaps, err := decodeState(mustReadFile(t, statePath))
+	snaps, err := loadState(statePath)
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("state after overloaded shutdown: %d sites, %v", len(snaps), err)
 	}
-	shed, recs := snaps[0].shed, snaps[0].recs
+	shed, recs := snaps[0].Shed, snaps[0].Records
 	if shed == 0 {
 		t.Fatal("shed count not persisted")
 	}
@@ -154,7 +154,7 @@ func TestDaemonSIGTERMUnderOverload(t *testing.T) {
 	}
 }
 
-func mustReadFile(t *testing.T, path string) []byte {
+func mustReadFile(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {

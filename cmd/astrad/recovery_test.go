@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,60 +16,89 @@ import (
 	"repro/internal/atomicio"
 	"repro/internal/core"
 	"repro/internal/iofault"
-	"repro/internal/syslog"
+	"repro/internal/mce"
+	"repro/internal/statestore"
 	"repro/internal/topology"
 )
 
-// TestSealOpenState pins the checksum trailer: seal/open round-trips,
-// unsealed (legacy) images pass through untouched, and any single
-// bit flip — in the body or the trailer — is detected.
+// TestSealOpenState pins the checksum seal: a sealed legacy file loads,
+// its unsealed body (written before sealing existed) still loads, and
+// any single bit flip — in the body or the trailer — is detected. A v5
+// head is sealed unconditionally: without its trailer, or with any bit
+// flipped, it is rejected.
 func TestSealOpenState(t *testing.T) {
 	_, ces := testLog(t)
-	data, err := marshalState(syslog.Checkpoint{}, 3, ces[:8])
-	if err != nil {
-		t.Fatal(err)
+	sealed := fixture(t, "v2-sealed.state")
+	i := bytes.LastIndexByte(sealed[:len(sealed)-1], '\n')
+	data := sealed[:i+1]
+	if !bytes.HasPrefix(sealed[i+1:], []byte("checksum crc32 ")) {
+		t.Fatal("fixture is not sealed")
 	}
-	sealed := sealState(data)
-	if !bytes.HasPrefix(sealed, data) {
-		t.Fatal("sealing rewrote the body")
-	}
-	body, err := openState(sealed)
-	if err != nil {
-		t.Fatalf("open sealed: %v", err)
-	}
-	if !bytes.Equal(body, data) {
-		t.Fatal("open did not strip the trailer exactly")
-	}
-	// Legacy (no trailer) passes through.
-	if body, err := openState(data); err != nil || !bytes.Equal(body, data) {
-		t.Fatalf("legacy image rejected: %v", err)
+	want := []statestore.Snapshot{{ID: "default", Shed: 3, Records: ces[:8]}}
+	for name, img := range map[string][]byte{"sealed": sealed, "unsealed": data} {
+		snaps, err := decodeState(t, img)
+		if err != nil {
+			t.Fatalf("%s image rejected: %v", name, err)
+		}
+		sameSnapshots(t, snaps, want)
 	}
 	// Any bit flip in a sealed image must be caught: the body flips fail
 	// the checksum, trailer flips garble or mismatch the trailer itself.
 	for _, off := range []int{0, len(data) / 2, len(data) - 1, len(sealed) - 3} {
 		corrupt := append([]byte(nil), sealed...)
 		corrupt[off] ^= 0x10
-		if _, _, _, err := unmarshalState(corrupt); err == nil {
+		if _, err := decodeState(t, corrupt); err == nil {
 			t.Fatalf("bit flip at %d of %d undetected", off, len(sealed))
 		}
 	}
-	// The full decode path accepts the sealed image.
-	if _, _, recs, err := unmarshalState(sealed); err != nil || len(recs) != 8 {
-		t.Fatalf("unmarshal sealed = %d recs, %v", len(recs), err)
+
+	// The same state as v5: the head is the sealed part.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "astrad.state")
+	if err := os.WriteFile(path, sealed, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	st, _, err := statestore.Open(atomicio.OS, path, 1, []string{"default"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	head := mustReadFile(t, path)
+	if snaps, err := loadState(path); err != nil {
+		t.Fatal(err)
+	} else {
+		sameSnapshots(t, snaps, want)
+	}
+	j := bytes.LastIndexByte(head[:len(head)-1], '\n')
+	for name, img := range map[string][]byte{
+		"unsealed":  head[:j+1],
+		"flip-body": flipByte(head, len(head)/3),
+		"flip-seal": flipByte(head, len(head)-3),
+	} {
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadState(path); err == nil {
+			t.Fatalf("%s v5 head accepted", name)
+		}
+	}
+}
+
+func flipByte(data []byte, off int) []byte {
+	out := append([]byte(nil), data...)
+	out[off] ^= 0x10
+	return out
 }
 
 // TestParseSectionErrorsNameSiteAndOffset pins the diagnosability
 // contract: a damaged section names the site it belongs to and the byte
 // offset where parsing stopped.
 func TestParseSectionErrorsNameSiteAndOffset(t *testing.T) {
-	_, ces := testLog(t)
-	data, err := marshalState(syslog.Checkpoint{}, 7, ces[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := fixture(t, "v2.state")
 	corrupt := bytes.Replace(data, []byte("\nshed 7\n"), []byte("\nsped 7\n"), 1)
-	_, _, _, err = unmarshalState(corrupt)
+	_, err := decodeState(t, corrupt)
 	if err == nil {
 		t.Fatal("corrupted shed header accepted")
 	}
@@ -76,13 +106,7 @@ func TestParseSectionErrorsNameSiteAndOffset(t *testing.T) {
 		t.Fatalf("error does not name site and offset: %v", err)
 	}
 
-	v3, err := marshalStateV3([]siteSnapshot{
-		{id: "east", recs: ces[:2]},
-		{id: "west", recs: ces[2:5]},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v3 := fixture(t, "v3.state")
 	// Damage west's records header only.
 	i := bytes.Index(v3, []byte("site west\n"))
 	if i < 0 {
@@ -91,7 +115,7 @@ func TestParseSectionErrorsNameSiteAndOffset(t *testing.T) {
 	j := i + bytes.Index(v3[i:], []byte("\nrecords "))
 	corrupt = append([]byte(nil), v3...)
 	corrupt[j+1] = 'R'
-	_, err = unmarshalStateV3(corrupt)
+	_, err = decodeState(t, corrupt)
 	if err == nil {
 		t.Fatal("corrupted v3 records header accepted")
 	}
@@ -323,8 +347,8 @@ func TestDaemonRotationLadderRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("state after rotation: %v", err)
 	}
-	if n := int64(len(full) - cut); len(snaps) != 1 || snaps[0].cp.Offset > n {
-		t.Fatalf("final offset %d exceeds successor size %d", snaps[0].cp.Offset, n)
+	if n := int64(len(full) - cut); len(snaps) != 1 || snaps[0].Checkpoint.Offset > n {
+		t.Fatalf("final offset %d exceeds successor size %d", snaps[0].Checkpoint.Offset, n)
 	}
 
 	// Bit-flip the newest generation; recovery must fall back and still
@@ -488,14 +512,14 @@ func TestDaemonSiteFaultIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("state after quarantined shutdown: %v", err)
 	}
-	bySite := map[string]siteSnapshot{}
+	bySite := map[string]statestore.Snapshot{}
 	for _, sn := range snaps {
-		bySite[sn.id] = sn
+		bySite[sn.ID] = sn
 	}
-	if len(bySite["east"].recs) == 0 {
+	if len(bySite["east"].Records) == 0 {
 		t.Fatal("east section lost its records")
 	}
-	if w, ok := bySite["west"]; !ok || len(w.recs) != 0 {
+	if w, ok := bySite["west"]; !ok || len(w.Records) != 0 {
 		t.Fatalf("west section = %+v, want present and empty", bySite["west"])
 	}
 
@@ -605,44 +629,80 @@ func TestSweepTempsOnStartup(t *testing.T) {
 	}
 }
 
-// FuzzLoadStateLadder: whatever bytes sit in the newest generation, the
-// ladder loader must never error — it either accepts them (if they
-// decode) or falls back to the valid older generation.
+// FuzzLoadStateLadder: whatever bytes sit in the newest head or in any
+// segment, the ladder loader must never error or panic, and must never
+// restore wrong records — it either accepts the generation the bytes
+// still describe exactly, or falls back to an older one. The ladder is
+// three v5 commits over testLog's first 45 records, with segments
+// shared across generations and one compaction: gen 2 = [0,20),
+// gen 1 = [0,20)+[20,30), gen 0 = one merged [0,45).
 func FuzzLoadStateLadder(f *testing.F) {
-	valid, err := marshalState(syslog.Checkpoint{}, 0, nil)
+	_, ces := testLog(f)
+	tmpl := f.TempDir()
+	statePath := filepath.Join(tmpl, "astrad.state")
+	st, _, err := statestore.Open(atomicio.OS, statePath, 3, []string{"default"})
 	if err != nil {
 		f.Fatal(err)
 	}
-	sealed := sealState(valid)
-	f.Add([]byte(""))
-	f.Add(sealed)
-	f.Add(valid)
-	f.Add([]byte("astrad-state v2\n"))
-	flipped := append([]byte(nil), sealed...)
-	flipped[len(flipped)/2] ^= 4
-	f.Add(flipped)
-	f.Fuzz(func(t *testing.T, gen0 []byte) {
+	for _, cut := range [][2]int{{0, 20}, {20, 30}, {30, 45}} {
+		if _, err := st.Commit(context.Background(), statestore.Delta{
+			Site: "default", Base: cut[0], Records: ces[cut[0]:cut[1]],
+		}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	want := [][]mce.CERecord{ces[:45], ces[:30], ces[:20]}
+	files, err := os.ReadDir(tmpl)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var segs []string
+	for _, e := range files {
+		if strings.Contains(e.Name(), ".seg-") {
+			segs = append(segs, e.Name())
+		}
+	}
+	if len(segs) != 3 {
+		f.Fatalf("template holds %d segments, want 3", len(segs))
+	}
+	head := mustReadFile(f, statePath)
+	seg0 := mustReadFile(f, filepath.Join(tmpl, segs[0]))
+
+	f.Add([]byte(""), []byte(nil), uint8(0))
+	f.Add(head, []byte(nil), uint8(0))
+	f.Add(fixture(f, "v2-sealed.state"), []byte(nil), uint8(0))
+	f.Add([]byte("astrad-state v5\n"), []byte(nil), uint8(1))
+	f.Add(flipByte(head, len(head)/2), []byte(nil), uint8(0))
+	f.Add(head, flipByte(seg0, len(seg0)/2), uint8(0))
+	f.Add(head, seg0[:len(seg0)/2], uint8(1))
+	f.Add(head, seg0, uint8(2))
+	f.Fuzz(func(t *testing.T, gen0, seg []byte, which uint8) {
 		dir := t.TempDir()
-		statePath := filepath.Join(dir, "astrad.state")
-		if err := os.WriteFile(statePath, gen0, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(statePath+".1", sealed, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		snaps, gen, discarded, err := loadStateLadder(atomicio.OS, statePath, 3)
-		if err != nil {
-			t.Fatalf("ladder load errored on fuzzed generation: %v", err)
-		}
-		switch gen {
-		case 0:
-			// The fuzzer found bytes that decode; fine.
-		case 1:
-			if len(discarded) != 1 || snaps == nil {
-				t.Fatalf("fallback bookkeeping wrong: gen=%d discarded=%d", gen, len(discarded))
+		for _, e := range files {
+			data := mustReadFile(t, filepath.Join(tmpl, e.Name()))
+			if e.Name() == segs[int(which)%len(segs)] && seg != nil {
+				data = seg
 			}
+			if e.Name() == "astrad.state" {
+				data = gen0
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ld, err := statestore.Load(atomicio.OS, filepath.Join(dir, "astrad.state"), 3)
+		if err != nil {
+			t.Fatalf("ladder load errored on fuzzed state: %v", err)
+		}
+		switch {
+		case ld.Gen < 0:
+			// Every generation lost a segment or its head: a cold start.
+		case ld.Gen == 0 && !bytes.Equal(gen0, head):
+			// The fuzzer found other head bytes that decode; fine.
 		default:
-			t.Fatalf("gen = %d with a valid generation 1 present", gen)
+			if len(ld.Sites) != 1 || !reflect.DeepEqual(ld.Sites[0].Records, want[ld.Gen]) {
+				t.Fatalf("generation %d restored wrong records", ld.Gen)
+			}
 		}
 	})
 }

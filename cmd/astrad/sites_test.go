@@ -16,6 +16,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/het"
 	"repro/internal/mce"
+	"repro/internal/statestore"
 	"repro/internal/stream"
 	"repro/internal/syslog"
 	"repro/internal/topology"
@@ -245,11 +246,11 @@ func TestDaemonMultiSiteFederationRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(state, []byte(stateMagicV4+"\n")) {
-		t.Fatalf("multi-site state not v4: %q", state[:min(len(state), 40)])
+	if !bytes.HasPrefix(state, []byte(statestore.Magic+"\n")) {
+		t.Fatalf("multi-site state not v5: %q", state[:min(len(state), 40)])
 	}
 
-	// Restart over the v4 state with a different partition count: every
+	// Restart over the v5 state with a different partition count: every
 	// site restores exactly, and the fault populations match the batch
 	// answers per site.
 	addr, cancel, done, errs = startDaemonCustom(t, args(1)...)
@@ -277,54 +278,24 @@ func TestDaemonMultiSiteFederationRestart(t *testing.T) {
 	}
 }
 
-// TestStateV3RoundTrip pins the multi-site state file format, its
-// corruption rejection, and loadState's version fallback.
+// TestStateV3RoundTrip pins the multi-site legacy format: a v3 file
+// loads every site exact, upgrades to v5 without change, and rejects
+// corruption; Load routes legacy files by magic and treats a missing
+// file as a fresh start.
 func TestStateV3RoundTrip(t *testing.T) {
-	in, ces := testLog(t)
-	sc := syslog.NewScannerConfig(bytes.NewReader(in), syslog.ScanConfig{DedupWindow: testDedup, ReorderWindow: testReorder})
-	for i := 0; i < 25; i++ {
-		if !sc.Scan() {
-			t.Fatal("fixture too short")
-		}
+	_, ces := testLog(t)
+	cp := fixtureCheckpoint(t)
+	data := fixture(t, "v3.state")
+	want := []statestore.Snapshot{
+		{ID: "east", Checkpoint: cp, Shed: 3, Records: ces[:10]},
+		{ID: "west", Records: ces[10:14]},
 	}
-	cp := sc.Checkpoint()
-	snaps := []siteSnapshot{
-		{id: "east", cp: cp, shed: 3, recs: ces[:10]},
-		{id: "west", cp: syslog.Checkpoint{}, shed: 0, recs: ces[10:14]},
-	}
-
-	data, err := marshalStateV3(snaps)
+	got, err := decodeState(t, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := unmarshalStateV3(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].id != "east" || got[1].id != "west" {
-		t.Fatalf("site ids round trip: %+v", got)
-	}
-	if got[0].cp.Offset != cp.Offset || got[0].cp.Buffered() != cp.Buffered() {
-		t.Fatalf("checkpoint round trip: offset %d/%d", got[0].cp.Offset, cp.Offset)
-	}
-	if got[0].shed != 3 || got[1].shed != 0 {
-		t.Fatalf("shed round trip: %d/%d", got[0].shed, got[1].shed)
-	}
-	if len(got[0].recs) != 10 || len(got[1].recs) != 4 {
-		t.Fatalf("record counts round trip: %d/%d", len(got[0].recs), len(got[1].recs))
-	}
-	for i, r := range snaps[0].recs {
-		if got[0].recs[i] != r {
-			t.Fatalf("east record %d diverges after round trip", i)
-		}
-	}
-	data2, err := marshalStateV3(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Fatal("v3 marshal not deterministic through a round trip")
-	}
+	sameSnapshots(t, got, want)
+	sameSnapshots(t, upgradeRoundTrip(t, data, []string{"east", "west"}), want)
 
 	for name, corrupt := range map[string][]byte{
 		"empty":      nil,
@@ -336,42 +307,22 @@ func TestStateV3RoundTrip(t *testing.T) {
 		"shed":       bytes.Replace(data, []byte("\nshed 3\n"), []byte("\nshed x\n"), 1),
 		"undercount": bytes.Replace(data, []byte("sites 2"), []byte("sites 1"), 1),
 	} {
-		if _, err := unmarshalStateV3(corrupt); err == nil {
+		if _, err := decodeState(t, corrupt); err == nil {
 			t.Errorf("%s: corrupted v3 state accepted", name)
 		}
 	}
 
-	// loadState routes by magic: a v2 file loads as one site named
-	// "default", a v3 file as its site list.
-	dir := t.TempDir()
-	v2Path := filepath.Join(dir, "v2.state")
-	v2, err := marshalState(cp, 7, ces[:5])
+	// Load routes by magic: a v2 file loads as one site named "default",
+	// a v3 file as its site list.
+	loaded, err := decodeState(t, fixture(t, "v2.state"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(v2Path, v2, 0o644); err != nil {
-		t.Fatal(err)
+	if len(loaded) != 1 || loaded[0].ID != "default" || loaded[0].Shed != 7 || len(loaded[0].Records) != 10 {
+		t.Fatalf("v2 load = %+v", loaded)
 	}
-	loaded, err := loadState(v2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != 1 || loaded[0].id != "default" || loaded[0].shed != 7 || len(loaded[0].recs) != 5 {
-		t.Fatalf("v2 loadState = %+v", loaded)
-	}
-	v3Path := filepath.Join(dir, "v3.state")
-	if err := os.WriteFile(v3Path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err = loadState(v3Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != 2 || loaded[0].id != "east" {
-		t.Fatalf("v3 loadState = %+v", loaded)
-	}
-	if _, err := loadState(filepath.Join(dir, "missing.state")); err != nil {
-		t.Fatalf("missing state file not a fresh start: %v", err)
+	if loaded, err := loadState(filepath.Join(t.TempDir(), "missing.state")); err != nil || loaded != nil {
+		t.Fatalf("missing state file not a fresh start: %v %v", loaded, err)
 	}
 }
 

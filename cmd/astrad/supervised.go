@@ -1,9 +1,9 @@
 // Per-site supervision: each site's scanner -> queue -> drainer pipeline
 // runs as one restartable unit under internal/supervise. A panic or
 // ingest error tears down only that site's incarnation; the supervisor
-// backs off and restarts it from the site's last checkpoint section,
-// and a site that exhausts its restart budget is quarantined — its
-// engine keeps serving the last-good answers and its section keeps
+// backs off and restarts it from the site's committed segments, and a
+// site that exhausts its restart budget is quarantined — its engine
+// keeps serving the last-good answers and its committed entry keeps
 // riding along in every checkpoint, while the other sites ingest on.
 // The paper's operational lesson, applied to the collector itself: the
 // monitoring plane must degrade per-fault-domain, not fleet-wide.
@@ -20,6 +20,7 @@ import (
 	"repro/internal/overload"
 	"repro/internal/parallel"
 	"repro/internal/serve"
+	"repro/internal/statestore"
 	"repro/internal/stream"
 	"repro/internal/supervise"
 	"repro/internal/syslog"
@@ -48,7 +49,7 @@ func (s *siteDaemon) health() serve.SiteHealth {
 // restored snapshot. Every shed record is charged to the engine's
 // degraded accounting: offered == ingested + shed, and every analysis
 // that undercounts says so.
-func (d *daemon) buildPipeline(snap siteSnapshot) (*stream.Sharded, *overload.Queue[mce.CERecord]) {
+func (d *daemon) buildPipeline(snap statestore.Snapshot) (*stream.Sharded, *overload.Queue[mce.CERecord]) {
 	eng := stream.NewSharded(stream.ShardedConfig{
 		Partitions: d.cfg.partitions,
 		Engine: stream.Config{
@@ -65,9 +66,9 @@ func (d *daemon) buildPipeline(snap siteSnapshot) (*stream.Sharded, *overload.Qu
 		Policy:   d.cfg.shedPolicy,
 		OnShed:   func(n int) { eng.NoteShed(n) },
 	})
-	eng.IngestBatch(snap.recs)
-	if snap.shed > 0 {
-		eng.NoteShed(int(snap.shed))
+	eng.IngestBatch(snap.Records)
+	if snap.Shed > 0 {
+		eng.NoteShed(int(snap.Shed))
 	}
 	return eng, q
 }
@@ -75,7 +76,7 @@ func (d *daemon) buildPipeline(snap siteSnapshot) (*stream.Sharded, *overload.Qu
 // rebuild replaces the site's pipeline with a fresh incarnation restored
 // from snap, publishing the engine and queue atomically for the HTTP
 // readers.
-func (d *daemon) rebuild(s *siteDaemon, snap siteSnapshot) (*stream.Sharded, *overload.Queue[mce.CERecord]) {
+func (d *daemon) rebuild(s *siteDaemon, snap statestore.Snapshot) (*stream.Sharded, *overload.Queue[mce.CERecord]) {
 	eng, q := d.buildPipeline(snap)
 	s.eng.Store(eng)
 	s.q.Store(q)
@@ -84,30 +85,33 @@ func (d *daemon) rebuild(s *siteDaemon, snap siteSnapshot) (*stream.Sharded, *ov
 
 // runSite is one supervised incarnation of a site's pipeline. The first
 // run adopts the startup-built engine and queue (restored from the state
-// ladder); every restart rebuilds both from the site's last in-memory
-// checkpoint section, so a crash costs at most the records scanned since
-// that section was captured — and those are re-scanned from the log,
-// because the section's checkpoint is the resume point. Opening the log
+// ladder); every restart rebuilds both from the site's committed
+// segments, read back from disk, so a crash costs at most the records
+// scanned since the last commit — and those are re-scanned from the log,
+// because the committed checkpoint is the resume point. The restore moves
+// the site's epoch, so captures the failed incarnation left in flight
+// are dropped instead of committed. Opening the log
 // happens inside the unit: a missing or unreadable log is a restartable
 // fault (the file may appear later), not a fatal one.
 func (d *daemon) runSite(ctx context.Context, s *siteDaemon) error {
 	eng, q, cp := s.engine(), s.queue(), s.resumeCP
 	if !s.primed.CompareAndSwap(true, false) {
-		sec := *s.section.Load()
-		pcp, shed, recs, alarms, rest, err := parseSectionV4(sec, s.id, 0)
-		if err == nil && len(rest) != 0 {
-			err = fmt.Errorf("astrad: site %s: %d trailing bytes in section", s.id, len(rest))
+		snap := statestore.Snapshot{ID: s.id}
+		if d.store != nil {
+			var err error
+			if snap, err = d.store.Restore(s.id); err != nil {
+				// The segments were verified when committed; losing one now
+				// is disk damage, and a cold restart beats no restart.
+				d.log.Warn("committed state unreadable; rebuilding from scratch", "site", s.id, "err", err)
+				snap = statestore.Snapshot{ID: s.id}
+				if err := d.store.Reset(s.id); err != nil {
+					return err
+				}
+			}
 		}
-		if err != nil {
-			// The section was authored by this process, so this is a bug,
-			// not an I/O fault — but a cold restart beats no restart.
-			d.log.Warn("site section unreadable; rebuilding from scratch", "site", s.id, "err", err)
-			pcp, shed, recs, alarms = syslog.Checkpoint{}, 0, nil, nil
-		}
-		s.alarms.replace(alarms)
-		eng, q = d.rebuild(s, siteSnapshot{id: s.id, cp: pcp, shed: shed, recs: recs})
-		cp = pcp
-		d.log.Info("site pipeline rebuilt", "site", s.id, "records", len(recs), "offset", cp.Offset)
+		eng, q = d.rebuild(s, snap)
+		cp = snap.Checkpoint
+		d.log.Info("site pipeline rebuilt", "site", s.id, "records", len(snap.Records), "offset", cp.Offset)
 	}
 
 	f, err := os.Open(s.logPath)
@@ -127,10 +131,12 @@ func (d *daemon) runSite(ctx context.Context, s *siteDaemon) error {
 		// A fresh log means the ledger's history is no longer tied to the
 		// records that produced it; drop it with the engine state.
 		s.alarms.replace(nil)
-		eng, q = d.rebuild(s, siteSnapshot{id: s.id})
+		eng, q = d.rebuild(s, statestore.Snapshot{ID: s.id})
 		cp = syslog.Checkpoint{}
-		if sec, err := marshalSiteSectionV4(cp, 0, nil, nil); err == nil {
-			s.section.Store(&sec)
+		if d.store != nil {
+			if err := d.store.Reset(s.id); err != nil {
+				return err
+			}
 		}
 	}
 	if _, err := f.Seek(cp.Offset, io.SeekStart); err != nil {
@@ -161,13 +167,12 @@ func (d *daemon) runSite(ctx context.Context, s *siteDaemon) error {
 		return fmt.Errorf("site %s: drain: %w", s.id, derr)
 	}
 	// Clean stop (shutdown): the queue has fully drained into the engine,
-	// so capture the final consistent section for the last state write —
+	// so capture the final consistent delta for the last state write —
 	// unless the resume offset is untranslatable (stopped mid-rotation),
-	// in which case the previous section remains the honest resume point.
-	if d.cfg.statePath != "" && ok {
-		if err := d.snapshotSection(s, fcp); err != nil {
-			d.log.Warn("final section capture failed", "site", s.id, "err", err)
-		}
+	// in which case the committed entry remains the honest resume point.
+	if d.store != nil && ok {
+		final := d.capture(s, fcp)
+		s.final.Store(&final)
 	}
 	return nil
 }

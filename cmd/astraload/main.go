@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	recovery := fs.Bool("recovery", false, "run the kill+corrupt+rotate recovery scenario after the load phase")
 	recNodes := fs.Int("recovery-nodes", 48, "recovery scenario dataset size, nodes")
 	recPartitions := fs.Int("recovery-partitions", 2, "recovery scenario engine partitions")
-	recKeep := fs.Int("recovery-keep", 3, "recovery scenario checkpoint ladder depth")
+	recKeep := fs.Int("recovery-keep", 4, "recovery scenario checkpoint ladder depth (min 4: three damaged generations plus a survivor)")
 	recBound := fs.Float64("recovery-bound", 30000, "hard cap on recovery convergence, ms")
 	out := fs.String("out", "BENCH_serve.json", "result/baseline path")
 	guard := fs.Bool("guard", false, "re-run the baseline's scenario and fail on regression instead of writing")

@@ -1,12 +1,15 @@
 // The recovery scenario is the self-healing proof: a real tail -> scan
-// -> ingest pipeline with generational sealed checkpoints is killed
-// mid-tail right after its log rotated, its newest state generation is
-// bit-flipped, and a restarted incarnation must walk the checkpoint
-// ladder to the surviving generation, re-ingest the offset delta, and
-// converge to the exact batch answer within a bounded time. It is the
-// same contract cmd/astrad lives by, exercised here with deterministic
-// chaos so BENCH_serve.json can pin "crash recovery converges" next to
-// the latency and shed-rate numbers.
+// -> ingest pipeline checkpointing through internal/statestore — the
+// state format astrad writes — is killed mid-tail right after its log
+// rotated, and its three newest generations are damaged: the newest
+// head bit-flipped, a segment only the next generation references
+// bit-flipped, and a segment only the third references torn. A
+// restarted incarnation must walk the checkpoint ladder to the
+// surviving generation, re-ingest the offset delta, and converge to the
+// exact batch answer within a bounded time. It is the same contract
+// cmd/astrad lives by, exercised here with deterministic chaos so
+// BENCH_serve.json can pin "crash recovery converges" next to the
+// latency and shed-rate numbers.
 package main
 
 import (
@@ -14,22 +17,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/atomicio"
-	"repro/internal/colfmt"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/het"
 	"repro/internal/iofault"
 	"repro/internal/mce"
+	"repro/internal/statestore"
 	"repro/internal/stream"
 	"repro/internal/syslog"
 	"repro/internal/topology"
@@ -51,7 +52,8 @@ type RecoverySpec struct {
 	Seed       uint64 `json:"seed"`
 	Nodes      int    `json:"nodes"`
 	Partitions int    `json:"partitions"`
-	// Keep is the checkpoint ladder depth (atomicio.Generations).
+	// Keep is the checkpoint ladder depth (atomicio.Generations); the
+	// chaos damages three generations, so it must be at least 4.
 	Keep int `json:"keep"`
 	// BoundMS is the hard cap on recovery: the restarted pipeline must
 	// converge to the batch answer within this long or the scenario
@@ -63,8 +65,9 @@ type RecoverySpec struct {
 type RecoveryResult struct {
 	// ConvergedOK means the restarted pipeline reached the exact batch
 	// answer (records, faults, per-mode breakdowns) within BoundMS, and
-	// every structural expectation held (exactly one generation
-	// discarded, one rotation absorbed, survivor resumable). Detail
+	// every structural expectation held (exactly the three damaged
+	// generations discarded, one rotation absorbed, survivor
+	// resumable). Detail
 	// says what went wrong when it is false.
 	ConvergedOK bool   `json:"convergedOK"`
 	Detail      string `json:"detail,omitempty"`
@@ -72,9 +75,9 @@ type RecoveryResult struct {
 	// and re-ingest of the offset delta.
 	RecoveryMs float64 `json:"recoveryMs"`
 	// GenerationsDiscarded counts ladder rungs rejected at restart (the
-	// bit-flipped newest generation: exactly 1).
+	// damaged newest generations: exactly 3).
 	GenerationsDiscarded int `json:"generationsDiscarded"`
-	// SurvivorGeneration is the rung the restart resumed from (>= 1).
+	// SurvivorGeneration is the rung the restart resumed from (3).
 	SurvivorGeneration int `json:"survivorGeneration"`
 	// Rotations is how many log rotations the first incarnation's
 	// follower absorbed mid-tail (the scenario performs 1).
@@ -89,68 +92,6 @@ type RecoveryResult struct {
 	Faults          int `json:"faults"`
 }
 
-// recoveryState is the sealed checkpoint payload: a header line, the
-// scanner checkpoint (binary), the engine's records (colfmt), and a
-// fixed-width crc32 trailer so a single flipped bit anywhere is caught.
-const (
-	recoveryMagic     = "astraload-recovery v1"
-	recoveryCkPrefix  = "checksum crc32 "
-	recoveryCkTrailer = len(recoveryCkPrefix) + 8 + 1
-)
-
-func marshalRecoveryState(cp syslog.Checkpoint, recs []mce.CERecord) ([]byte, error) {
-	cpb, err := cp.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s checkpoint %d\n", recoveryMagic, len(cpb))
-	buf.Write(cpb)
-	if err := colfmt.Write(&buf, colfmt.Records{CEs: recs}); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(&buf, "%s%08x\n", recoveryCkPrefix, crc32.ChecksumIEEE(buf.Bytes()))
-	return buf.Bytes(), nil
-}
-
-func unmarshalRecoveryState(data []byte) (syslog.Checkpoint, []mce.CERecord, error) {
-	var cp syslog.Checkpoint
-	if len(data) < recoveryCkTrailer {
-		return cp, nil, fmt.Errorf("astraload: recovery state: %d bytes, too short for a checksum trailer", len(data))
-	}
-	body, trailer := data[:len(data)-recoveryCkTrailer], data[len(data)-recoveryCkTrailer:]
-	if !bytes.HasPrefix(trailer, []byte(recoveryCkPrefix)) || trailer[len(trailer)-1] != '\n' {
-		return cp, nil, fmt.Errorf("astraload: recovery state: malformed checksum trailer")
-	}
-	want, err := strconv.ParseUint(string(trailer[len(recoveryCkPrefix):len(trailer)-1]), 16, 32)
-	if err != nil {
-		return cp, nil, fmt.Errorf("astraload: recovery state: checksum trailer: %v", err)
-	}
-	if got := crc32.ChecksumIEEE(body); got != uint32(want) {
-		return cp, nil, fmt.Errorf("astraload: recovery state: checksum mismatch: stored %08x computed %08x", want, got)
-	}
-	nl := bytes.IndexByte(body, '\n')
-	if nl < 0 {
-		return cp, nil, fmt.Errorf("astraload: recovery state: missing header line")
-	}
-	var cpLen int
-	if _, err := fmt.Sscanf(string(body[:nl]), recoveryMagic+" checkpoint %d", &cpLen); err != nil {
-		return cp, nil, fmt.Errorf("astraload: recovery state: bad header %q", body[:nl])
-	}
-	rest := body[nl+1:]
-	if cpLen < 0 || cpLen > len(rest) {
-		return cp, nil, fmt.Errorf("astraload: recovery state: checkpoint length %d exceeds %d payload bytes", cpLen, len(rest))
-	}
-	if err := cp.UnmarshalBinary(rest[:cpLen]); err != nil {
-		return cp, nil, fmt.Errorf("astraload: recovery state: checkpoint: %w", err)
-	}
-	recs, err := colfmt.Decode(rest[cpLen:])
-	if err != nil {
-		return cp, nil, fmt.Errorf("astraload: recovery state: records: %w", err)
-	}
-	return cp, recs.CEs, nil
-}
-
 // recoveryCounters is the one-way telemetry from a pipeline incarnation
 // to the orchestrator: how far the tail has read, how many ladder writes
 // happened, how many rotations the follower absorbed, and how many CEs
@@ -161,13 +102,22 @@ type recoveryCounters struct {
 	ingested    atomic.Int64
 }
 
+// recoverySite is the recovery pipeline's one site in the state store.
+const recoverySite = "default"
+
+// recoveryFaults is how many of the newest generations the chaos
+// damages: a bit-flipped head, a bit flip inside a segment, a torn
+// segment. The ladder needs one more rung for the survivor.
+const recoveryFaults = 3
+
 // runRecoveryTail is one pipeline incarnation: tail logPath from cp,
-// ingest every CE, and write a sealed generation every cpEvery CEs. It
-// does NOT checkpoint on the way out — a cancelled incarnation dies as
-// abruptly as a crash, which is the point. stopAt > 0 ends the run
-// cleanly once the engine holds that many records (the restarted
-// incarnation's convergence condition).
-func runRecoveryTail(ctx context.Context, logPath string, gens atomicio.Generations, eng *stream.Sharded,
+// ingest every CE, and commit a checkpoint through store every cpEvery
+// CEs — the delta past the committed watermark, exactly as astrad's
+// capture takes it. It does NOT checkpoint on the way out — a cancelled
+// incarnation dies as abruptly as a crash, which is the point. stopAt >
+// 0 ends the run cleanly once the engine holds that many records (the
+// restarted incarnation's convergence condition).
+func runRecoveryTail(ctx context.Context, logPath string, store *statestore.Store, eng *stream.Sharded,
 	cp syslog.Checkpoint, base int, cpEvery int, stopAt int, ctr *recoveryCounters) error {
 	f, err := os.Open(logPath)
 	if err != nil {
@@ -205,15 +155,12 @@ func runRecoveryTail(ctx context.Context, logPath string, gens atomicio.Generati
 				continue // offset predates the rotation; nothing resumable
 			}
 			ccp.Offset = off
-			data, merr := marshalRecoveryState(ccp, eng.Records())
-			if merr != nil {
-				return merr
-			}
-			if _, werr := gens.Write(context.Background(), func(w io.Writer) error {
-				_, e := w.Write(data)
-				return e
-			}); werr != nil {
-				return werr
+			wm := store.Watermark(recoverySite)
+			recs, _ := eng.RecordsSince(wm.Records)
+			if _, err := store.Commit(context.Background(), statestore.Delta{
+				Site: recoverySite, Epoch: wm.Epoch, Base: wm.Records, Checkpoint: ccp, Records: recs,
+			}); err != nil {
+				return err
 			}
 			ctr.checkpoints.Add(1)
 		}
@@ -222,6 +169,38 @@ func runRecoveryTail(ctx context.Context, logPath string, gens atomicio.Generati
 		return err
 	}
 	return nil
+}
+
+// newSegments lists the segments generation gen's head references that
+// the next older generation's does not: the ones its own commit wrote.
+func newSegments(statePath string, gen int) ([]string, error) {
+	g := atomicio.Generations{Path: statePath}
+	heads, err := statestore.ReadHead(nil, g.Gen(gen))
+	if err != nil {
+		return nil, err
+	}
+	older, err := statestore.ReadHead(nil, g.Gen(gen+1))
+	if err != nil {
+		return nil, err
+	}
+	seen := map[string]bool{}
+	for _, h := range older {
+		for _, sg := range h.Segments {
+			seen[sg.Name] = true
+		}
+	}
+	var out []string
+	for _, h := range heads {
+		for _, sg := range h.Segments {
+			if !seen[sg.Name] {
+				out = append(out, statestore.SegmentPath(statePath, sg.Name))
+			}
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("generation %d wrote no segment of its own", gen)
+	}
+	return out, nil
 }
 
 // waitUntil polls cond once a millisecond until it holds or the deadline
@@ -307,7 +286,13 @@ func (rs RecoverySpec) run(ctx context.Context, logger *slog.Logger) (RecoveryRe
 	if err := os.WriteFile(logPath, s1, 0o644); err != nil {
 		return rr, err
 	}
-	gens := atomicio.Generations{Path: statePath, Keep: rs.Keep}
+	if rs.Keep < recoveryFaults+1 {
+		return rr, fmt.Errorf("astraload: recovery: keep %d leaves no survivor behind %d damaged generations", rs.Keep, recoveryFaults)
+	}
+	store, _, err := statestore.Open(nil, statePath, rs.Keep, []string{recoverySite})
+	if err != nil {
+		return rr, err
+	}
 	mkEngine := func() *stream.Sharded {
 		return stream.NewSharded(stream.ShardedConfig{
 			Partitions: rs.Partitions,
@@ -328,7 +313,7 @@ func (rs RecoverySpec) run(ctx context.Context, logger *slog.Logger) (RecoveryRe
 	var ctr recoveryCounters
 	aDone := make(chan error, 1)
 	go func() {
-		aDone <- runRecoveryTail(ctxA, logPath, gens, engA, syslog.Checkpoint{}, 0, cpEvery, 0, &ctr)
+		aDone <- runRecoveryTail(ctxA, logPath, store, engA, syslog.Checkpoint{}, 0, cpEvery, 0, &ctr)
 	}()
 	fatalA := func() (RecoveryResult, error, bool) {
 		select {
@@ -359,51 +344,62 @@ func (rs RecoverySpec) run(ctx context.Context, logger *slog.Logger) (RecoveryRe
 		}
 		return fail("follower never absorbed the rotation within %v", bound)
 	}
-	// At least two ladder writes after the rotation was absorbed: with
-	// the newest generation corrupted, the survivor must still carry a
+	// Enough ladder writes after the rotation was absorbed that, with
+	// the newest generations damaged, the survivor still carries a
 	// successor-file offset.
 	cpAtRotate := ctr.checkpoints.Load()
-	if !waitUntil(deadline, func() bool { return ctr.checkpoints.Load() >= cpAtRotate+2 }) {
+	if !waitUntil(deadline, func() bool { return ctr.checkpoints.Load() >= cpAtRotate+recoveryFaults+1 }) {
 		if r, e, died := fatalA(); died {
 			return r, e
 		}
-		return fail("fewer than 2 post-rotation checkpoints within %v", bound)
+		return fail("fewer than %d post-rotation checkpoints within %v", recoveryFaults+1, bound)
 	}
 
-	// Kill: cancel with no farewell checkpoint, then flip one bit in the
-	// newest generation — the crash left a torn/corrupted newest state.
+	// Kill: cancel with no farewell checkpoint, then damage the three
+	// newest generations three ways — the crash left a bit-flipped head,
+	// a bit flip inside a segment only generation 1 references, and a
+	// torn segment only generation 2 references.
 	cancelA()
 	if aerr := <-aDone; aerr != nil {
 		return rr, fmt.Errorf("astraload: recovery: pipeline error at kill: %v", aerr)
 	}
 	rr.Checkpoints = int(ctr.checkpoints.Load())
 	rr.Rotations = ctr.rotations.Load()
-	if _, _, err := iofault.FlipBit(gens.Gen(0), rs.Seed|1); err != nil {
+	flipped, err := newSegments(statePath, 1)
+	if err != nil {
+		return rr, err
+	}
+	torn, err := newSegments(statePath, 2)
+	if err != nil {
+		return rr, err
+	}
+	if _, _, err := iofault.FlipBit(statePath, rs.Seed|1); err != nil {
+		return rr, err
+	}
+	if _, _, err := iofault.FlipBit(flipped[0], rs.Seed|2); err != nil {
+		return rr, err
+	}
+	if _, err := iofault.Truncate(torn[0], rs.Seed|4); err != nil {
 		return rr, err
 	}
 
 	// Restart: walk the ladder, restore the survivor, re-ingest the
 	// delta, and converge — the clock measures all of it.
 	restart := time.Now()
-	data, gen, discarded, err := gens.Load(func(b []byte) error {
-		_, _, verr := unmarshalRecoveryState(b)
-		return verr
-	})
+	ld, err := statestore.Load(nil, statePath, rs.Keep)
 	if err != nil {
 		return rr, err
 	}
+	gen, discarded := ld.Gen, ld.Discarded
 	rr.GenerationsDiscarded = len(discarded)
 	rr.SurvivorGeneration = gen
-	if len(discarded) != 1 {
-		return fail("discarded %d generations, want exactly the bit-flipped newest", len(discarded))
+	if len(discarded) != recoveryFaults {
+		return fail("discarded %d generations, want exactly the %d damaged newest", len(discarded), recoveryFaults)
 	}
-	if gen < 1 {
-		return fail("survivor generation = %d, want >= 1", gen)
+	if gen != recoveryFaults {
+		return fail("survivor generation = %d, want %d", gen, recoveryFaults)
 	}
-	cp, recs, err := unmarshalRecoveryState(data)
-	if err != nil {
-		return rr, err
-	}
+	cp, recs := ld.Sites[0].Checkpoint, ld.Sites[0].Records
 	rr.RecordsRestored = len(recs)
 	if fi, err := os.Stat(logPath); err != nil {
 		return rr, err
@@ -415,8 +411,11 @@ func (rs RecoverySpec) run(ctx context.Context, logger *slog.Logger) (RecoveryRe
 	ctxB, cancelB := context.WithDeadline(ctx, deadline)
 	defer cancelB()
 	var ctrB recoveryCounters
-	berr := runRecoveryTail(ctxB, logPath, atomicio.Generations{Path: statePath + ".post", Keep: rs.Keep},
-		engB, cp, len(recs), cpEvery, len(want), &ctrB)
+	storeB, _, err := statestore.Open(nil, statePath+".post", rs.Keep, []string{recoverySite})
+	if err != nil {
+		return rr, err
+	}
+	berr := runRecoveryTail(ctxB, logPath, storeB, engB, cp, len(recs), cpEvery, len(want), &ctrB)
 	rr.RecoveryMs = float64(time.Since(restart).Microseconds()) / 1000
 	if berr != nil {
 		return rr, fmt.Errorf("astraload: recovery: restarted pipeline: %v", berr)

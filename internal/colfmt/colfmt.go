@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/faultmodel"
@@ -332,6 +333,25 @@ func Decode(data []byte) (Records, error) {
 type decoder struct {
 	data []byte
 	off  int
+	// appendCEs makes the decoder append the CE records to ceDst,
+	// decoding into its spare capacity (grown if short), instead of
+	// allocating a fresh slice.
+	appendCEs bool
+	ceDst     []mce.CERecord
+}
+
+// AppendCEs decodes a colfmt file that holds CE records only and appends
+// them to dst, so a caller concatenating many files pays for one slice.
+func AppendCEs(dst []mce.CERecord, data []byte) ([]mce.CERecord, error) {
+	d := decoder{data: data, appendCEs: true, ceDst: dst}
+	recs, err := d.run()
+	if err != nil {
+		return dst, err
+	}
+	if len(recs.DUEs) != 0 || len(recs.HETs) != 0 {
+		return dst, fmt.Errorf("colfmt: %d DUE and %d HET records in a CE-only file", len(recs.DUEs), len(recs.HETs))
+	}
+	return d.ceDst, nil
 }
 
 var errShort = errors.New("truncated")
@@ -365,9 +385,15 @@ func (d *decoder) run() (Records, error) {
 		return Records{}, fmt.Errorf("colfmt: header: %d records in a %d-byte file", counts[0]+counts[1]+counts[2], len(d.data))
 	}
 	recs := Records{
-		CEs:  make([]mce.CERecord, counts[0]),
 		DUEs: make([]mce.DUERecord, counts[1]),
 		HETs: make([]het.Record, counts[2]),
+	}
+	if !d.appendCEs {
+		recs.CEs = make([]mce.CERecord, counts[0])
+	} else {
+		n := len(d.ceDst)
+		d.ceDst = slices.Grow(d.ceDst, int(counts[0]))[:n+int(counts[0])]
+		recs.CEs = d.ceDst[n:]
 	}
 	ks := kindState{
 		kindCE:  {nCols: numCECols, n: len(recs.CEs)},

@@ -214,3 +214,39 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendCEs: decoding CE-only files onto a slice equals decoding
+// each and concatenating, whether the slice has spare capacity or must
+// grow, and a file carrying DUE or HET records is refused with dst
+// untouched.
+func TestAppendCEs(t *testing.T) {
+	a := fixtureRecords(blockRecords + 41).CEs
+	b := fixtureRecords(700).CEs
+	fa := encode(t, Records{CEs: a})
+	fb := encode(t, Records{CEs: b})
+	want := append(append([]mce.CERecord{}, a...), b...)
+	for _, dst := range [][]mce.CERecord{nil, make([]mce.CERecord, 0, len(want))} {
+		got, err := AppendCEs(dst, fa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = AppendCEs(got, fb); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("appended %d records, want the %d-record concatenation", len(got), len(want))
+		}
+	}
+	mixed := encode(t, fixtureRecords(50))
+	prefix := a[:3:3]
+	got, err := AppendCEs(prefix, mixed)
+	if err == nil {
+		t.Fatal("file with DUE/HET records accepted as CE-only")
+	}
+	if len(got) != 3 {
+		t.Fatalf("failed append changed dst length to %d", len(got))
+	}
+	if _, err := AppendCEs(nil, fa[:len(fa)-9]); err == nil {
+		t.Fatal("truncated file accepted")
+	}
+}

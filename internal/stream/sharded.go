@@ -17,6 +17,7 @@ package stream
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -450,16 +451,46 @@ func (s *Sharded) Records() []mce.CERecord {
 }
 
 func (s *Sharded) recordsLocked() []mce.CERecord {
+	recs, _ := s.recordsSinceLocked(0)
+	return recs
+}
+
+// RecordsSince returns the records after the first n in global arrival
+// order — Records()[n:] without materializing the prefix — and the total
+// record count, so a caller holding a watermark past the engine (records
+// still queued upstream) can tell. It costs O(partitions·log + delta),
+// not O(history): each partition's index-stamped stream is cut by binary
+// search and only the tails are merged.
+func (s *Sharded) RecordsSince(n int) ([]mce.CERecord, int) {
+	s.lockAll()
+	defer s.unlockAll()
+	return s.recordsSinceLocked(n)
+}
+
+func (s *Sharded) recordsSinceLocked(n int) ([]mce.CERecord, int) {
 	total := 0
 	for _, p := range s.parts {
 		total += len(p.records)
 	}
-	if total == 0 {
-		return nil
+	n = max(n, 0)
+	if n >= total {
+		return nil, total
 	}
-	out := make([]mce.CERecord, 0, total)
 	cursors := make([]int, len(s.parts))
-	for len(out) < total {
+	// Global indices are dense (0..total-1) unless admission lanes shed
+	// after indexing; then only a full merge knows where position n is.
+	dense := int(s.globalIdx.Load()) == total
+	if dense {
+		for pi, p := range s.parts {
+			cursors[pi] = sort.SearchInts(p.gidx, n)
+		}
+	}
+	out := make([]mce.CERecord, 0, total-n)
+	skip := 0
+	if !dense {
+		skip = n
+	}
+	for len(out) < total-n {
 		best := -1
 		var bestG int
 		for pi, p := range s.parts {
@@ -469,10 +500,14 @@ func (s *Sharded) recordsLocked() []mce.CERecord {
 				}
 			}
 		}
-		out = append(out, s.parts[best].records[cursors[best]])
+		if skip > 0 {
+			skip--
+		} else {
+			out = append(out, s.parts[best].records[cursors[best]])
+		}
 		cursors[best]++
 	}
-	return out
+	return out, total
 }
 
 // LiveView returns a current or recent fleet View, with the same
@@ -646,49 +681,39 @@ func (s *Sharded) LaneDepth() int {
 }
 
 // Quiesce freezes every lane (drainers idle, offers blocked) and calls
-// fn with a prefix-consistent snapshot: every record ingested so far in
-// global order, the records still queued (in global order, across all
-// lanes), and the lane stats. This is the checkpoint path: ingested +
-// queued + shed == offered exactly at the instant fn runs.
-func (s *Sharded) Quiesce(fn func(ingested, queued []mce.CERecord, stats []overload.QueueStats)) {
-	if len(s.lanes) == 0 {
-		s.lockAll()
-		recs := s.recordsLocked()
-		s.unlockAll()
-		fn(recs, nil, nil)
-		return
-	}
+// fn with a prefix-consistent checkpoint image: every admitted record —
+// ingested or still queued in a lane — in global arrival order, and the
+// lane stats. Lanes drain independently, so a partition may have
+// ingested records admitted after ones another lane still holds; the
+// image interleaves both by arrival index, which is what a replay into
+// a fresh fleet needs. At the instant fn runs, image + shed == offered
+// exactly.
+func (s *Sharded) Quiesce(fn func(image []mce.CERecord, stats []overload.QueueStats)) {
 	var frozen []laneRec
 	stats := make([]overload.QueueStats, len(s.lanes))
 	var freeze func(i int)
 	freeze = func(i int) {
-		if i == len(s.lanes) {
-			s.lockAll()
-			recs := s.recordsLocked()
-			s.unlockAll()
-			sortLaneRecs(frozen)
-			queued := make([]mce.CERecord, len(frozen))
-			for j := range frozen {
-				queued[j] = frozen[j].r
-			}
-			fn(recs, queued, stats)
+		if i < len(s.lanes) {
+			s.lanes[i].Freeze(func(queued []laneRec, st overload.QueueStats) {
+				frozen = append(frozen, queued...)
+				stats[i] = st
+				freeze(i + 1)
+			})
 			return
 		}
-		s.lanes[i].Freeze(func(queued []laneRec, st overload.QueueStats) {
-			frozen = append(frozen, queued...)
-			stats[i] = st
-			freeze(i + 1)
-		})
+		s.lockAll()
+		for _, p := range s.parts {
+			for j := range p.records {
+				frozen = append(frozen, laneRec{g: int64(p.gidx[j]), r: p.records[j]})
+			}
+		}
+		s.unlockAll()
+		sort.Slice(frozen, func(a, b int) bool { return frozen[a].g < frozen[b].g })
+		image := make([]mce.CERecord, len(frozen))
+		for j := range frozen {
+			image[j] = frozen[j].r
+		}
+		fn(image, stats)
 	}
 	freeze(0)
-}
-
-// sortLaneRecs orders queued records by global index (insertion sort:
-// the input is a small concatenation of already-sorted per-lane runs).
-func sortLaneRecs(rs []laneRec) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].g < rs[j-1].g; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }

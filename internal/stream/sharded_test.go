@@ -213,8 +213,8 @@ func TestShardedQuiesceRestart(t *testing.T) {
 			first.Offer(r)
 		}
 		var image []mce.CERecord
-		first.Quiesce(func(ingested, queued []mce.CERecord, _ []overload.QueueStats) {
-			image = append(append(image, ingested...), queued...)
+		first.Quiesce(func(img []mce.CERecord, _ []overload.QueueStats) {
+			image = img
 		})
 		first.CloseLanes()
 		if len(image) != cut {
@@ -406,4 +406,55 @@ func TestShardedFleetShed(t *testing.T) {
 	if !sum.Degraded || sum.Shed != 5 || sum.Offered != 5 {
 		t.Fatalf("fleet shed not in books: %+v", sum)
 	}
+}
+
+// TestShardedRecordsSince pins the checkpoint delta accessor:
+// RecordsSince(n) is Records()[n:] at every partition count and cut,
+// both on the dense direct-ingest path and after lane shedding left
+// holes in the global index sequence.
+func TestShardedRecordsSince(t *testing.T) {
+	records := fixture(t).CERecords
+	if len(records) > 5000 {
+		records = records[:5000]
+	}
+	check := func(t *testing.T, s *stream.Sharded) {
+		t.Helper()
+		all := s.Records()
+		for _, n := range []int{-1, 0, 1, len(all) / 3, len(all) - 1, len(all), len(all) + 7} {
+			got, total := s.RecordsSince(n)
+			if total != len(all) {
+				t.Fatalf("RecordsSince(%d) total = %d, want %d", n, total, len(all))
+			}
+			want := all[min(max(n, 0), len(all)):]
+			if len(want) == 0 {
+				want = nil
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("RecordsSince(%d) = %d records, want Records()[%d:] (%d)", n, len(got), n, len(want))
+			}
+		}
+	}
+	for _, parts := range shardedPartitionCounts {
+		s := stream.NewSharded(stream.ShardedConfig{Partitions: parts, Engine: stream.Config{DIMMs: 48 * topology.SlotsPerNode}})
+		for i := 0; i < len(records); i += 700 {
+			s.IngestBatch(records[i:min(i+700, len(records))])
+		}
+		check(t, s)
+	}
+	s := stream.NewSharded(stream.ShardedConfig{Partitions: 4, Engine: stream.Config{DIMMs: 48 * topology.SlotsPerNode}})
+	if err := s.StartLanes(stream.LaneConfig{
+		Queue:         overload.Config{Capacity: 32, Policy: overload.PolicyDropOldest},
+		DrainBatch:    8,
+		DrainInterval: time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		s.Offer(r)
+	}
+	s.CloseLanes()
+	if s.Shed() == 0 {
+		t.Fatal("lane path shed nothing: the sparse-index case is not exercised")
+	}
+	check(t, s)
 }
